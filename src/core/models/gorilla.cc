@@ -1,6 +1,7 @@
 #include "core/models/gorilla.h"
 
 #include <cstring>
+#include <string>
 
 namespace modelardb {
 namespace {
@@ -11,6 +12,15 @@ namespace {
 // (0-31) and 6 bits for the meaningful-bit count (1-32).
 constexpr int kLeadingBits = 5;
 constexpr int kLengthBits = 6;
+
+// `count` comes from segment metadata: the first value takes 32 bits and
+// each later one at least 1, so a larger count cannot be in the stream.
+Status CheckCount(ByteSpan bytes, size_t count) {
+  const size_t bits = bytes.size() * 8;
+  if (count <= 1 + (bits > 32 ? bits - 32 : 0)) return Status::OK();
+  return Status::Corruption("gorilla: count " + std::to_string(count) +
+                            " exceeds the stream");
+}
 
 // Bit cursor over the big-endian word array produced by pass 1 of the
 // kernel decoder. Field extraction is a couple of shifts instead of
@@ -108,6 +118,7 @@ Result<std::vector<Value>> GorillaDecodeStream(
 
 Result<std::vector<Value>> GorillaDecodeStreamScalar(
     ByteSpan bytes, size_t count) {
+  MODELARDB_RETURN_NOT_OK(CheckCount(bytes, count));
   std::vector<Value> out;
   out.reserve(count);
   BitReader reader(bytes);
@@ -154,6 +165,7 @@ Result<std::vector<Value>> GorillaDecodeStreamScalar(
 Result<std::vector<Value>> GorillaDecodeStreamWithKernels(
     ByteSpan bytes, size_t count,
     const simd::Kernels& kernels) {
+  MODELARDB_RETURN_NOT_OK(CheckCount(bytes, count));
   // Pass 1: gulp the byte stream into big-endian uint64 words (the
   // ReadBitsBulk fast path) and parse the control fields into the XOR
   // deltas. The parse is branchy but touches words, not bits.

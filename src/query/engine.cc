@@ -91,6 +91,17 @@ bool NeedsExactSumFold(const Query& ast) {
   return false;
 }
 
+// Whether a scan answers the blocks its time filter fully covers from the
+// summary index. Both view executors install on_covered_block from this and
+// EXPLAIN prints it, so the plan says what the executor does.
+bool SummarizesCoveredBlocks(const CompiledQuery& compiled) {
+  // Rollups bucket by calendar interval inside segments; the Data Point
+  // View folds SUM/AVG per point, in the decoded points' order.
+  return compiled.ast.HasAggregates() && !compiled.cube_level.has_value() &&
+         (compiled.ast.view == View::kSegment ||
+          !NeedsExactSumFold(compiled.ast));
+}
+
 void ApplyLimit(const std::optional<int64_t>& limit, QueryResult* result) {
   if (limit.has_value() &&
       static_cast<int64_t>(result->rows.size()) > *limit) {
@@ -205,9 +216,9 @@ void MaybeLogSlowQuery(const char* where, int64_t latency_ns,
                        << ", bytes decoded=" << scan.bytes_decoded
                        << ", cold pins=" << scan.cold_pins
                        << ", hot pins=" << scan.hot_pins
-                       << ", morsel cpu=" << (scan.cpu_ns / 1000000)
-                       << " ms, queue wait=" << (scan.queue_wait_ns / 1000000)
-                       << " ms";
+                       << ", morsel cpu=" << (scan.cpu_ns / 1000)
+                       << " us, queue wait=" << (scan.queue_wait_ns / 1000)
+                       << " us";
 }
 
 namespace {
@@ -250,8 +261,8 @@ std::vector<std::string> ScanStatsLines(const ScanStats& stats) {
       "bytes decoded: " + std::to_string(stats.bytes_decoded),
       "cold pins: " + std::to_string(stats.cold_pins),
       "hot pins: " + std::to_string(stats.hot_pins),
-      "morsel cpu ms: " + std::to_string(stats.cpu_ns / 1000000),
-      "queue wait ms: " + std::to_string(stats.queue_wait_ns / 1000000),
+      "morsel cpu us: " + std::to_string(stats.cpu_ns / 1000),
+      "queue wait us: " + std::to_string(stats.queue_wait_ns / 1000),
   };
 }
 
@@ -441,10 +452,9 @@ std::vector<Cell> QueryEngine::KeyFor(const CompiledQuery& compiled,
   return key;
 }
 
-BlockAction QueryEngine::ConsumeCoveredBlock(const CompiledQuery& compiled,
-                                             const BlockView& view,
-                                             size_t num_aggs, bool needs_sum,
-                                             PartialResult* partial) const {
+Result<BlockAction> QueryEngine::ConsumeCoveredBlock(
+    const CompiledQuery& compiled, const BlockView& view, size_t num_aggs,
+    bool needs_sum, PartialResult* partial) const {
   const SegmentBlock& block = *view.block;
   const TimeSeriesGroup& group = groups_[view.gid - 1];
   const size_t group_size = group.tids.size();
@@ -518,9 +528,10 @@ BlockAction QueryEngine::ConsumeCoveredBlock(const CompiledQuery& compiled,
     if (states.empty()) states.resize(num_aggs);
     states_of[k] = &states;
   }
-  for (uint32_t i = 0; i < block.size(); ++i) {
-    const Segment& segment = view.segments[i];
-    const SegmentSummary& summary = view.summaries[i];
+  // Only the segments' gap masks and lengths are read; nothing decodes.
+  uint32_t i = 0;
+  MODELARDB_RETURN_NOT_OK(view.for_each_segment([&](const Segment& segment) {
+    const SegmentSummary& summary = view.summaries[i++];
     if (segment.gap_mask == 0) {
       // Gap-free segment (the common case): decoder columns equal group
       // positions, no matching scan needed.
@@ -533,7 +544,7 @@ BlockAction QueryEngine::ConsumeCoveredBlock(const CompiledQuery& compiled,
         agg.count = segment.Length();
         for (auto& state : *states_of[k]) UpdateState(&state, agg, s.scaling);
       }
-      continue;
+      return;
     }
     int column = 0;
     size_t next = 0;
@@ -556,7 +567,7 @@ BlockAction QueryEngine::ConsumeCoveredBlock(const CompiledQuery& compiled,
       agg.count = segment.Length();
       for (auto& state : *states_of[next]) UpdateState(&state, agg, s.scaling);
     }
-  }
+  }));
   return BlockAction::kSummarized;
 }
 
@@ -574,9 +585,7 @@ Result<PartialResult> QueryEngine::SegmentViewPartial(
   const bool needs_sum = NeedsExactSumFold(compiled.ast);
 
   IndexedScanCallbacks callbacks;
-  if (has_agg && !compiled.cube_level.has_value()) {
-    // Rollups bucket by calendar interval inside segments, so they always
-    // decode; plain aggregates answer covered blocks from summaries.
+  if (SummarizesCoveredBlocks(compiled)) {
     callbacks.on_covered_block = [&](const BlockView& view) {
       return ConsumeCoveredBlock(compiled, view, num_aggs, needs_sum,
                                  &partial);
@@ -732,13 +741,10 @@ Result<PartialResult> QueryEngine::DataPointViewPartial(
   const bool needs_sum = NeedsExactSumFold(compiled.ast);
 
   IndexedScanCallbacks callbacks;
-  if (has_agg && !needs_sum) {
-    // The Data Point View folds per point, so SUM/AVG depend on the
-    // per-point summation order and always decode; COUNT/MIN/MAX folds
-    // are order-free and match the summaries bit for bit.
+  if (SummarizesCoveredBlocks(compiled)) {
     callbacks.on_covered_block = [&](const BlockView& view) {
-      return ConsumeCoveredBlock(compiled, view, num_aggs,
-                                 /*needs_sum=*/false, &partial);
+      return ConsumeCoveredBlock(compiled, view, num_aggs, needs_sum,
+                                 &partial);
     };
   }
   callbacks.on_segment = [&](const Segment& segment,
@@ -1059,8 +1065,10 @@ Result<std::string> QueryEngine::Explain(const Query& ast) const {
   }
   if (ast.HasAggregates()) {
     out += "summary index: ";
-    if (compiled.cube_level.has_value()) {
-      out += "rollup decodes per interval\n";
+    if (!SummarizesCoveredBlocks(compiled)) {
+      out += compiled.cube_level.has_value()
+                 ? "rollup decodes per interval\n"
+                 : "decode every segment (per-point SUM/AVG fold)\n";
     } else if (NeedsExactSumFold(stripped)) {
       out += "fold per-segment summaries (exact SUM)\n";
     } else {

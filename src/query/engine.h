@@ -260,10 +260,10 @@ class QueryEngine {
   // aggregates are consumed directly. Returns kFallback when the value
   // zone map straddles the predicate (or a scaling is non-positive), so
   // the exhaustive path decides per segment.
-  BlockAction ConsumeCoveredBlock(const CompiledQuery& compiled,
-                                  const BlockView& view, size_t num_aggs,
-                                  bool needs_sum,
-                                  PartialResult* partial) const;
+  Result<BlockAction> ConsumeCoveredBlock(const CompiledQuery& compiled,
+                                          const BlockView& view,
+                                          size_t num_aggs, bool needs_sum,
+                                          PartialResult* partial) const;
 
   const TimeSeriesCatalog* catalog_;
   std::vector<TimeSeriesGroup> groups_;     // Indexed gid-1.

@@ -98,6 +98,110 @@ bool SegmentLess(const Segment& a, const Segment& b) {
 // Slab tag of the cold-index block (real blocks are tagged with their Gid,
 // which is never negative, let alone all-ones).
 constexpr uint64_t kColdIndexTag = ~uint64_t{0};
+// Cold index v2 adds the block aggregates to v1; v1 still loads.
+constexpr uint64_t kColdIndexVersion = 2;
+
+// Hot blocks are held by value, cold blocks through shared pointers.
+const SegmentBlock& Fences(const SegmentBlock& block) { return block; }
+template <typename Block>
+const SegmentBlock& Fences(const std::shared_ptr<const Block>& block) {
+  return *block;
+}
+SegmentBlock& MutableFences(SegmentBlock& block) { return block; }
+template <typename Block>
+SegmentBlock& MutableFences(std::shared_ptr<const Block>& block) {
+  // Cold blocks may be shared with an older COW snapshot: clone, never
+  // mutate in place.
+  auto copy = std::make_shared<Block>(*block);
+  SegmentBlock& fences = *copy;
+  block = std::move(copy);
+  return fences;
+}
+
+// Recomputes the suffix-min StartTime fences from the last block backwards
+// and stops at the first fence that is already right: every earlier fence
+// was computed from it. A new block's fence starts at the maximum, so it is
+// never taken for right.
+template <typename Block>
+void UpdateSuffixFences(std::vector<Block>* blocks) {
+  Timestamp suffix = std::numeric_limits<Timestamp>::max();
+  for (size_t i = blocks->size(); i-- > 0;) {
+    suffix = std::min(suffix, Fences((*blocks)[i]).min_start_time);
+    if (Fences((*blocks)[i]).suffix_min_start_time == suffix) break;
+    MutableFences((*blocks)[i]).suffix_min_start_time = suffix;
+  }
+}
+
+// The fence walk over a group's blocks, cold first, then the hot run: skips
+// blocks whose fences miss `filter` (counted in `skipped`), stops each run at
+// its suffix fence, and calls fn(block, cold) for every other block, `cold`
+// being null for hot blocks.
+template <typename Group, typename Fn>
+Status WalkBlocks(const Group& group, const SegmentFilter& filter,
+                  int64_t* skipped, Fn&& fn) {
+  // Each run has its own suffix fences: cold blocks are shared and
+  // immutable, so their fences cannot see the hot run.
+  auto walk = [&](const auto& run, auto cold_at) -> Status {
+    // Blocks cluster on end_time: binary search to the first candidate.
+    size_t b = static_cast<size_t>(
+        std::lower_bound(run.begin(), run.end(), filter.min_time,
+                         [](const auto& block, Timestamp t) {
+                           return Fences(block).max_end_time < t;
+                         }) -
+        run.begin());
+    *skipped += static_cast<int64_t>(b);
+    for (; b < run.size(); ++b) {
+      const SegmentBlock& block = Fences(run[b]);
+      if (block.suffix_min_start_time > filter.max_time) {
+        // No segment here or later in the run starts early enough.
+        *skipped += static_cast<int64_t>(run.size() - b);
+        break;
+      }
+      if (block.min_start_time > filter.max_time) {
+        ++*skipped;
+        continue;
+      }
+      MODELARDB_RETURN_NOT_OK(fn(block, cold_at(b)));
+    }
+    return Status::OK();
+  };
+  MODELARDB_RETURN_NOT_OK(
+      walk(group.cold, [&group](size_t b) { return group.cold[b].get(); }));
+  return walk(group.blocks, [](size_t) { return nullptr; });
+}
+
+// Calls fn(segment, i) for the `i`-th segment of `block`, in order: from
+// `hot` (the run the block indexes) or, when `cold` is set, borrowed from its
+// pinned slab block (one pin counted in `stats`), so a segment is valid only
+// during its call.
+template <typename Cold, typename Fn>
+Status ForEachSegment(SlabFile* slab, const Segment* hot,
+                      const SegmentBlock& block, const Cold* cold,
+                      ScanStats* stats, Fn&& fn) {
+  if (cold == nullptr) {
+    for (uint32_t i = 0; i < block.size(); ++i) {
+      MODELARDB_RETURN_NOT_OK(fn(hot[block.begin + i], i));
+    }
+    return Status::OK();
+  }
+  // Zero-copy: parameters are borrowed views into the pinned mapping;
+  // callbacks that keep a Segment copy deep-copy them (ParamBytes copy
+  // semantics).
+  MODELARDB_ASSIGN_OR_RETURN(SlabFile::Pin pin, slab->ReadBlock(cold->slab_id));
+  ++stats->cold_pins;
+  BufferReader reader(pin.bytes());
+  MODELARDB_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
+  if (count != block.size()) {
+    return Status::Corruption("cold block " + std::to_string(cold->slab_id) +
+                              " disagrees with the cold index");
+  }
+  for (uint32_t i = 0; i < block.size(); ++i) {
+    MODELARDB_ASSIGN_OR_RETURN(Segment segment,
+                               Segment::DeserializeBorrowed(&reader));
+    MODELARDB_RETURN_NOT_OK(fn(segment, i));
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -176,12 +280,9 @@ Status SegmentStore::ReplayLog() {
       // writer-side format bug, not disk damage — surface it loudly.
       MODELARDB_ASSIGN_OR_RETURN(Segment segment,
                                  Segment::Deserialize(&block));
-      GroupSlot& slot = index_[segment.gid];
-      if (!slot.data) {
-        slot.data = std::make_shared<GroupData>();
-        slot.data->gid = segment.gid;
-      }
-      slot.data->segments.push_back(std::move(segment));
+      std::shared_ptr<GroupData>& data = index_[segment.gid];
+      if (!data) data = std::make_shared<GroupData>(segment.gid);
+      data->segments.push_back(std::move(segment));
       num_segments_.fetch_add(1, std::memory_order_relaxed);
       ++recovery_info_.segments_replayed;
     }
@@ -199,19 +300,16 @@ Status SegmentStore::ReplayLog() {
   }
   disk_bytes_ = static_cast<int64_t>(watermark + wal.valid_bytes);
   wal_bytes_total_ = watermark + wal.valid_bytes;
-  for (auto& [gid, slot] : index_) {
-    std::sort(slot.data->segments.begin(), slot.data->segments.end(),
-              SegmentLess);
-    if (options_.index_block_size > 0) {
-      if (MaterializeFor(gid)) {
-        int group_size = GroupSizeOf(gid);
-        slot.data->summaries.reserve(slot.data->segments.size());
-        for (const Segment& segment : slot.data->segments) {
-          slot.data->summaries.push_back(BuildSummary(segment, group_size));
-        }
+  for (auto& [gid, data] : index_) {
+    std::sort(data->segments.begin(), data->segments.end(), SegmentLess);
+    if (MaterializeFor(gid)) {
+      int group_size = GroupSizeOf(gid);
+      data->summaries.reserve(data->segments.size());
+      for (const Segment& segment : data->segments) {
+        data->summaries.push_back(BuildSummary(segment, group_size));
       }
-      RebuildBlocks(slot.data.get());
     }
+    RebuildBlocks(data.get());
   }
   return Status::OK();
 }
@@ -297,9 +395,7 @@ void SegmentStore::FoldIntoBlock(SegmentBlock* block, const Segment& segment,
     // the fences above stay valid.
     block->has_summaries = false;
     block->counts.clear();
-    block->sums.clear();
-    block->mins.clear();
-    block->maxs.clear();
+    for (auto* lane : {&block->sums, &block->mins, &block->maxs}) lane->clear();
     return;
   }
   int64_t length = segment.Length();
@@ -319,81 +415,44 @@ void SegmentStore::FoldIntoBlock(SegmentBlock* block, const Segment& segment,
   }
 }
 
-void SegmentStore::UpdateSuffixFences(std::vector<SegmentBlock>* blocks) {
-  Timestamp suffix = std::numeric_limits<Timestamp>::max();
-  for (size_t i = blocks->size(); i-- > 0;) {
-    suffix = std::min(suffix, (*blocks)[i].min_start_time);
-    if ((*blocks)[i].suffix_min_start_time == suffix) break;  // Converged.
-    (*blocks)[i].suffix_min_start_time = suffix;
+SegmentBlock SegmentStore::OpenBlock(Gid gid, uint32_t begin) const {
+  SegmentBlock block;
+  block.begin = begin;
+  block.end = begin;
+  if (MaterializeFor(gid)) {
+    const size_t group_size = static_cast<size_t>(GroupSizeOf(gid));
+    block.has_summaries = true;
+    block.counts.assign(group_size, 0);
+    for (std::vector<double>* lane : {&block.sums, &block.mins, &block.maxs}) {
+      lane->assign(group_size, 0.0);
+    }
   }
+  return block;
 }
 
 void SegmentStore::AppendToIndex(GroupData* data, size_t index) const {
-  const Segment& segment = data->segments[index];
-  const bool materialize = MaterializeFor(data->gid);
-  int group_size = GroupSizeOf(data->gid);
-  const SegmentSummary* summary =
-      materialize ? &data->summaries[index] : nullptr;
-  if (data->blocks.empty() ||
-      data->blocks.back().size() >= options_.index_block_size) {
-    SegmentBlock block;
-    block.begin = static_cast<uint32_t>(index);
-    block.end = block.begin;
-    if (materialize) {
-      block.has_summaries = true;
-      block.counts.assign(group_size, 0);
-      block.sums.assign(group_size, 0.0);
-      block.mins.assign(group_size, 0.0);
-      block.maxs.assign(group_size, 0.0);
-    }
-    data->blocks.push_back(std::move(block));
+  if (data->blocks.empty() || (options_.index_block_size > 0 &&
+                               data->blocks.back().size() >=
+                                   options_.index_block_size)) {
+    data->blocks.push_back(
+        OpenBlock(data->gid, static_cast<uint32_t>(index)));
   }
   SegmentBlock& block = data->blocks.back();
   block.end = static_cast<uint32_t>(index + 1);
-  FoldIntoBlock(&block, segment, summary, group_size);
+  FoldIntoBlock(&block, data->segments[index],
+                data->summaries.empty() ? nullptr : &data->summaries[index],
+                GroupSizeOf(data->gid));
   UpdateSuffixFences(&data->blocks);
 }
 
 void SegmentStore::RebuildBlocks(GroupData* data) const {
   data->blocks.clear();
-  if (options_.index_block_size == 0) return;
   StoreBlockRebuilds().Add();
   obs::EventRing::Global().Record(obs::EventKind::kBlockRebuild,
                                   static_cast<int64_t>(data->gid),
                                   static_cast<int64_t>(data->segments.size()),
                                   "cow_rebuild");
-  const bool materialize = MaterializeFor(data->gid);
-  int group_size = GroupSizeOf(data->gid);
-  data->blocks.reserve(
-      (data->segments.size() + options_.index_block_size - 1) /
-      std::max<size_t>(options_.index_block_size, 1));
-  for (size_t i = 0; i < data->segments.size(); ++i) {
-    if (data->blocks.empty() ||
-        data->blocks.back().size() >= options_.index_block_size) {
-      SegmentBlock block;
-      block.begin = static_cast<uint32_t>(i);
-      block.end = block.begin;
-      if (materialize) {
-        block.has_summaries = true;
-        block.counts.assign(group_size, 0);
-        block.sums.assign(group_size, 0.0);
-        block.mins.assign(group_size, 0.0);
-        block.maxs.assign(group_size, 0.0);
-      }
-      data->blocks.push_back(std::move(block));
-    }
-    SegmentBlock& block = data->blocks.back();
-    block.end = static_cast<uint32_t>(i + 1);
-    FoldIntoBlock(&block, data->segments[i],
-                  materialize ? &data->summaries[i] : nullptr, group_size);
-  }
-  // Full backward pass (UpdateSuffixFences early-stops, which is only
-  // valid for incremental appends).
-  Timestamp suffix = std::numeric_limits<Timestamp>::max();
-  for (size_t i = data->blocks.size(); i-- > 0;) {
-    suffix = std::min(suffix, data->blocks[i].min_start_time);
-    data->blocks[i].suffix_min_start_time = suffix;
-  }
+  for (size_t i = 0; i < data->segments.size(); ++i) AppendToIndex(data, i);
 }
 
 Status SegmentStore::Put(const Segment& segment) {
@@ -402,20 +461,17 @@ Status SegmentStore::Put(const Segment& segment) {
 }
 
 Status SegmentStore::PutLocked(const Segment& segment) {
-  GroupSlot& slot = index_[segment.gid];
-  if (!slot.data) {
-    slot.data = std::make_shared<GroupData>();
-    slot.data->gid = segment.gid;
-  } else if (slot.snapshotted) {
-    // A running scan may still iterate this group's data: leave it intact
-    // and mutate a private copy (copy-on-write).
-    slot.data = std::make_shared<GroupData>(*slot.data);
-    slot.snapshotted = false;
+  std::shared_ptr<GroupData>& slot = index_[segment.gid];
+  if (!slot) {
+    slot = std::make_shared<GroupData>(segment.gid);
+  } else if (slot->snapshots.live.load(std::memory_order_acquire) != 0) {
+    // A running scan still iterates this group's data: leave it intact and
+    // mutate a private copy (copy-on-write).
+    slot = std::make_shared<GroupData>(*slot);
     StoreCowCopies().Add();
   }
   StorePutTotal().Add();
-  GroupData& data = *slot.data;
-  const bool index_enabled = options_.index_block_size > 0;
+  GroupData& data = *slot;
   const bool materialize = MaterializeFor(segment.gid);
   // Common case: appends arrive in end_time order per group.
   if (!data.segments.empty() && SegmentLess(segment, data.segments.back())) {
@@ -423,25 +479,20 @@ Status SegmentStore::PutLocked(const Segment& segment) {
                                segment, SegmentLess);
     size_t pos = static_cast<size_t>(it - data.segments.begin());
     data.segments.insert(it, segment);
-    if (index_enabled) {
-      if (materialize) {
-        data.summaries.insert(
-            data.summaries.begin() + static_cast<ptrdiff_t>(pos),
-            BuildSummary(segment, GroupSizeOf(segment.gid)));
-      }
-      // Out-of-order insert shifts every later segment: rebuild the
-      // group's blocks (rare; ingestion appends in end_time order).
-      RebuildBlocks(&data);
+    if (materialize) {
+      data.summaries.insert(
+          data.summaries.begin() + static_cast<ptrdiff_t>(pos),
+          BuildSummary(segment, GroupSizeOf(segment.gid)));
     }
+    // Out-of-order insert shifts every later segment: rebuild the group's
+    // blocks (rare; ingestion appends in end_time order).
+    RebuildBlocks(&data);
   } else {
     data.segments.push_back(segment);
-    if (index_enabled) {
-      if (materialize) {
-        data.summaries.push_back(
-            BuildSummary(segment, GroupSizeOf(segment.gid)));
-      }
-      AppendToIndex(&data, data.segments.size() - 1);
+    if (materialize) {
+      data.summaries.push_back(BuildSummary(segment, GroupSizeOf(segment.gid)));
     }
+    AppendToIndex(&data, data.segments.size() - 1);
   }
   num_segments_.fetch_add(1, std::memory_order_relaxed);
   if (!log_path_.empty()) {
@@ -560,23 +611,24 @@ Status SegmentStore::CheckpointLocked() {
   // the store byte-for-byte where it started — a failed checkpoint is
   // invisible except for the warning FlushLocked logs.
   int64_t groups_to_stage = 0;
-  for (const auto& [gid, slot] : index_) {
-    if (slot.data && !slot.data->segments.empty()) ++groups_to_stage;
+  for (const auto& [gid, data] : index_) {
+    if (!data->segments.empty()) ++groups_to_stage;
   }
   obs::EventRing::Global().Record(obs::EventKind::kCheckpointBegin,
                                   groups_to_stage);
-  std::vector<std::pair<Gid, GroupSlot>> originals;
+  std::vector<std::pair<Gid, std::shared_ptr<GroupData>>> originals;
   Status status = Status::OK();
   int64_t groups_staged = 0;
-  for (auto& [gid, slot] : index_) {
-    if (!slot.data || slot.data->segments.empty()) continue;
-    auto updated = std::make_shared<GroupData>(*slot.data);
-    if (slot.snapshotted) StoreCowCopies().Add();
+  for (auto& [gid, data] : index_) {
+    if (data->segments.empty()) continue;
+    auto updated = std::make_shared<GroupData>(*data);
+    if (data->snapshots.live.load(std::memory_order_acquire) != 0) {
+      StoreCowCopies().Add();
+    }
     status = CheckpointGroupLocked(gid, updated.get());
     if (!status.ok()) break;
-    originals.emplace_back(gid, slot);
-    slot.data = std::move(updated);
-    slot.snapshotted = false;
+    originals.emplace_back(gid, std::move(data));
+    data = std::move(updated);
     ++groups_staged;
     heartbeat.Beat();
     phase("stage_group", static_cast<int64_t>(gid));
@@ -604,12 +656,12 @@ Status SegmentStore::CheckpointLocked() {
     if (status.ok()) phase("commit", 0);
   }
   if (!status.ok()) {
-    // Roll back to the pre-checkpoint state: the original group data (with
-    // its snapshot flags) returns to the index, the previous cold-index id
-    // is restored, and the slab transaction is aborted — staged extents go
-    // back to the allocator, frees go back to the table. Dropping the
-    // `updated` copies releases the leases on the blocks staged above.
-    for (auto& [gid, slot] : originals) index_[gid] = std::move(slot);
+    // Roll back to the pre-checkpoint state: the original group data
+    // returns to the index, the previous cold-index id is restored, and the
+    // slab transaction is aborted — staged extents go back to the
+    // allocator, frees go back to the table. Dropping the `updated` copies
+    // releases the leases on the blocks staged above.
+    for (auto& [gid, data] : originals) index_[gid] = std::move(data);
     cold_index_block_id_ = previous_index_block;
     slab_->AbortCheckpoint();
     phase("abort", 0);
@@ -626,53 +678,41 @@ Status SegmentStore::CheckpointLocked() {
 // private copy) and the slab's *staged* state only — safe to unwind with
 // AbortCheckpoint if any later step of the checkpoint fails.
 Status SegmentStore::CheckpointGroupLocked(Gid gid, GroupData* data) {
-  if (!data->cold.empty() &&
-      data->segments.front().end_time <= data->cold.back()->max_end_time) {
-    MODELARDB_RETURN_NOT_OK(RewriteGroupLocked(data));
-  } else if (!data->cold.empty() &&
-             data->cold.back()->count < options_.slab_block_segments) {
-    // Coalesce the partial tail block into the hot run so repeated small
-    // checkpoints converge to full-size cold blocks instead of a long
-    // tail of slivers.
-    std::shared_ptr<const ColdBlock> tail = data->cold.back();
-    std::vector<Segment> tail_segments;
-    std::vector<SegmentSummary> tail_summaries;
-    MODELARDB_RETURN_NOT_OK(MaterializeColdBlock(
-        slab_.get(), *tail, &tail_segments, &tail_summaries));
-    MODELARDB_RETURN_NOT_OK(slab_->FreeBlock(tail->slab_id));
-    data->cold.pop_back();
-    if (MaterializeFor(gid)) {
-      int group_size = GroupSizeOf(gid);
-      for (size_t i = 0; i < tail_segments.size(); ++i) {
-        if (!tail_summaries[i].valid()) {
-          tail_summaries[i] = BuildSummary(tail_segments[i], group_size);
-        }
-      }
-      data->summaries.insert(data->summaries.begin(), tail_summaries.begin(),
-                             tail_summaries.end());
-    }
-    data->segments.insert(data->segments.begin(), tail_segments.begin(),
-                          tail_segments.end());
+  // Cold blocks reaching the hot run's first segment (out-of-order puts
+  // since the last checkpoint) fold back into it, and so does a partial
+  // tail block, so repeated small checkpoints converge to full-size blocks
+  // instead of a long tail of slivers.
+  const std::vector<std::shared_ptr<const ColdBlock>>& cold = data->cold;
+  size_t first = cold.size();
+  while (first > 0 &&
+         cold[first - 1]->max_end_time >= data->segments.front().end_time) {
+    --first;
+  }
+  if (first == cold.size() && first > 0 &&
+      cold.back()->size() < options_.slab_block_segments) {
+    --first;
+  }
+  if (first < cold.size()) {
+    MODELARDB_RETURN_NOT_OK(RewriteGroupLocked(data, first));
   }
   const bool materialize = !data->summaries.empty() &&
                            data->summaries.size() == data->segments.size();
+  const int group_size = GroupSizeOf(gid);
   const size_t chunk = std::max<size_t>(options_.slab_block_segments, 1);
   for (size_t begin = 0; begin < data->segments.size(); begin += chunk) {
     const size_t end = std::min(begin + chunk, data->segments.size());
     BufferWriter payload;
     payload.WriteVarint(end - begin);
     auto block = std::make_shared<ColdBlock>();
-    block->count = static_cast<uint32_t>(end - begin);
-    block->has_summaries = materialize;
+    static_cast<SegmentBlock&>(*block) = OpenBlock(gid, 0);
+    block->end = static_cast<uint32_t>(end - begin);
     for (size_t i = begin; i < end; ++i) {
       const Segment& segment = data->segments[i];
       segment.SerializeTo(&payload);
-      block->min_start_time =
-          std::min(block->min_start_time, segment.start_time);
-      block->max_end_time = std::max(block->max_end_time, segment.end_time);
-      block->min_value = std::min(block->min_value, segment.min_value);
-      block->max_value = std::max(block->max_value, segment.max_value);
-      if (materialize) block->summaries.push_back(data->summaries[i]);
+      const SegmentSummary* summary =
+          materialize ? &data->summaries[i] : nullptr;
+      FoldIntoBlock(block.get(), segment, summary, group_size);
+      if (summary != nullptr) block->summaries.push_back(*summary);
     }
     std::vector<uint8_t> bytes = payload.Finish();
     MODELARDB_ASSIGN_OR_RETURN(block->slab_id, slab_->StageBlock(bytes, gid));
@@ -685,19 +725,19 @@ Status SegmentStore::CheckpointGroupLocked(Gid gid, GroupData* data) {
   data->summaries.clear();
   data->summaries.shrink_to_fit();
   data->blocks.clear();
-  RecomputeColdSuffixFences(&data->cold);
+  UpdateSuffixFences(&data->cold);
   return Status::OK();
 }
 
-Status SegmentStore::RewriteGroupLocked(GroupData* data) {
+Status SegmentStore::RewriteGroupLocked(GroupData* data, size_t first) {
   std::vector<Segment> cold_segments;
   std::vector<SegmentSummary> cold_summaries;
-  for (const std::shared_ptr<const ColdBlock>& block : data->cold) {
+  for (size_t b = first; b < data->cold.size(); ++b) {
     MODELARDB_RETURN_NOT_OK(MaterializeColdBlock(
-        slab_.get(), *block, &cold_segments, &cold_summaries));
-    MODELARDB_RETURN_NOT_OK(slab_->FreeBlock(block->slab_id));
+        slab_.get(), *data->cold[b], &cold_segments, &cold_summaries));
+    MODELARDB_RETURN_NOT_OK(slab_->FreeBlock(data->cold[b]->slab_id));
   }
-  data->cold.clear();
+  data->cold.resize(first);
   const bool want_summaries = MaterializeFor(data->gid);
   if (want_summaries) {
     int group_size = GroupSizeOf(data->gid);
@@ -727,35 +767,46 @@ Status SegmentStore::RewriteGroupLocked(GroupData* data) {
   }
   data->segments = std::move(merged);
   data->summaries = std::move(merged_summaries);
-  data->blocks.clear();
   return Status::OK();
 }
 
+// Cold index layout (little-endian fixed-width, varints as in util/buffer):
+//   version | group_count | per group: gid | block_count | per block:
+//   slab_id | count | min_start_time | max_end_time | min_value | max_value
+//   | u8 summaries? | v2 only: u8 aggregates? [n | n counts (i64)
+//   | n sums | n mins | n maxs] | [count × (len | len doubles)] iff summaries
 std::vector<uint8_t> SegmentStore::SerializeColdIndex() const {
   BufferWriter writer;
-  writer.WriteVarint(1);  // Version.
+  writer.WriteVarint(kColdIndexVersion);
   size_t group_count = 0;
-  for (const auto& [gid, slot] : index_) {
-    if (slot.data && !slot.data->cold.empty()) ++group_count;
+  for (const auto& [gid, data] : index_) {
+    if (!data->cold.empty()) ++group_count;
   }
   writer.WriteVarint(group_count);
-  for (const auto& [gid, slot] : index_) {
-    if (!slot.data || slot.data->cold.empty()) continue;
+  for (const auto& [gid, data] : index_) {
+    if (data->cold.empty()) continue;
     writer.WriteVarint(static_cast<uint64_t>(static_cast<uint32_t>(gid)));
-    writer.WriteVarint(slot.data->cold.size());
-    for (const std::shared_ptr<const ColdBlock>& block : slot.data->cold) {
+    writer.WriteVarint(data->cold.size());
+    for (const std::shared_ptr<const ColdBlock>& block : data->cold) {
       writer.WriteVarint(block->slab_id);
-      writer.WriteVarint(block->count);
+      writer.WriteVarint(block->size());
       writer.WriteI64(block->min_start_time);
       writer.WriteI64(block->max_end_time);
       writer.WriteFloat(block->min_value);
       writer.WriteFloat(block->max_value);
+      writer.WriteU8(block->summaries.empty() ? 0 : 1);
       writer.WriteU8(block->has_summaries ? 1 : 0);
       if (block->has_summaries) {
-        for (const SegmentSummary& summary : block->summaries) {
-          writer.WriteVarint(summary.agg.size());
-          for (double v : summary.agg) writer.WriteDouble(v);
+        writer.WriteVarint(block->counts.size());
+        for (int64_t count : block->counts) writer.WriteI64(count);
+        for (const std::vector<double>* lane :
+             {&block->sums, &block->mins, &block->maxs}) {
+          for (double v : *lane) writer.WriteDouble(v);
         }
+      }
+      for (const SegmentSummary& summary : block->summaries) {
+        writer.WriteVarint(summary.agg.size());
+        for (double v : summary.agg) writer.WriteDouble(v);
       }
     }
   }
@@ -773,86 +824,110 @@ Status SegmentStore::LoadColdIndex() {
   MODELARDB_ASSIGN_OR_RETURN(SlabFile::Pin pin,
                              slab_->ReadBlock(cold_index_block_id_));
   BufferReader reader(pin.bytes());
+  // Every count is read from disk: check it against what the bytes left can
+  // hold (each item takes at least `min_bytes`) before sizing anything.
+  auto check = [&reader](uint64_t count, size_t min_bytes, bool valid,
+                         const char* what) -> Status {
+    if (valid && count <= reader.remaining() / min_bytes) return Status::OK();
+    return Status::Corruption(std::string("cold index: bad ") + what + " " +
+                              std::to_string(count));
+  };
   MODELARDB_ASSIGN_OR_RETURN(uint64_t version, reader.ReadVarint());
-  if (version != 1) {
+  if (version != 1 && version != kColdIndexVersion) {
     return Status::Corruption("unknown cold index version " +
                               std::to_string(version));
   }
   MODELARDB_ASSIGN_OR_RETURN(uint64_t group_count, reader.ReadVarint());
+  MODELARDB_RETURN_NOT_OK(check(group_count, 2, true, "group count"));
   for (uint64_t g = 0; g < group_count; ++g) {
     MODELARDB_ASSIGN_OR_RETURN(uint64_t gid_raw, reader.ReadVarint());
     Gid gid = static_cast<Gid>(static_cast<uint32_t>(gid_raw));
     MODELARDB_ASSIGN_OR_RETURN(uint64_t block_count, reader.ReadVarint());
-    GroupSlot& slot = index_[gid];
-    if (!slot.data) {
-      slot.data = std::make_shared<GroupData>();
-      slot.data->gid = gid;
-    }
+    // slab_id, count, fences, zone map and the summaries flag.
+    MODELARDB_RETURN_NOT_OK(check(block_count, 27, true, "block count"));
+    std::shared_ptr<GroupData>& data = index_[gid];
+    if (!data) data = std::make_shared<GroupData>(gid);
     for (uint64_t b = 0; b < block_count; ++b) {
       auto block = std::make_shared<ColdBlock>();
       MODELARDB_ASSIGN_OR_RETURN(block->slab_id, reader.ReadVarint());
       MODELARDB_ASSIGN_OR_RETURN(block->lease,
                                  slab_->LeaseBlock(block->slab_id));
       MODELARDB_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-      block->count = static_cast<uint32_t>(count);
+      if (count > std::numeric_limits<uint32_t>::max()) {
+        return Status::Corruption("cold index: bad count " +
+                                  std::to_string(count));
+      }
+      block->end = static_cast<uint32_t>(count);
       MODELARDB_ASSIGN_OR_RETURN(block->min_start_time, reader.ReadI64());
       MODELARDB_ASSIGN_OR_RETURN(block->max_end_time, reader.ReadI64());
       MODELARDB_ASSIGN_OR_RETURN(block->min_value, reader.ReadFloat());
       MODELARDB_ASSIGN_OR_RETURN(block->max_value, reader.ReadFloat());
       MODELARDB_ASSIGN_OR_RETURN(uint8_t has_summaries, reader.ReadU8());
-      block->has_summaries = has_summaries != 0;
-      if (block->has_summaries) {
-        block->summaries.resize(block->count);
-        for (uint32_t i = 0; i < block->count; ++i) {
-          MODELARDB_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
-          block->summaries[i].agg.resize(n);
-          for (uint64_t j = 0; j < n; ++j) {
-            MODELARDB_ASSIGN_OR_RETURN(block->summaries[i].agg[j],
-                                       reader.ReadDouble());
+      // A v1 block has no aggregates: covered scans deliver its segments.
+      uint8_t has_aggregates = 0;
+      if (version >= 2) {
+        MODELARDB_ASSIGN_OR_RETURN(has_aggregates, reader.ReadU8());
+      }
+      if (has_aggregates != 0) {
+        // As many positions as the group has, and the segment summaries
+        // that exact SUM folds from.
+        MODELARDB_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
+        MODELARDB_RETURN_NOT_OK(check(
+            n, 32,
+            n == static_cast<uint64_t>(GroupSizeOf(gid)) && has_summaries != 0,
+            "aggregate positions"));
+        block->has_summaries = true;
+        block->counts.resize(n);
+        for (int64_t& v : block->counts) {
+          MODELARDB_ASSIGN_OR_RETURN(v, reader.ReadI64());
+        }
+        for (std::vector<double>* lane :
+             {&block->sums, &block->mins, &block->maxs}) {
+          lane->resize(n);
+          for (double& v : *lane) {
+            MODELARDB_ASSIGN_OR_RETURN(v, reader.ReadDouble());
           }
         }
       }
-      num_segments_.fetch_add(block->count, std::memory_order_relaxed);
-      slot.data->cold.push_back(std::move(block));
+      if (has_summaries != 0) {
+        MODELARDB_RETURN_NOT_OK(check(count, 1, true, "summary count"));
+        block->summaries.resize(count);
+        for (SegmentSummary& summary : block->summaries) {
+          MODELARDB_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
+          // Whole (sum, min, max) triples for at most 64 series; a block
+          // with aggregates needs every one.
+          MODELARDB_RETURN_NOT_OK(check(
+              n, 8, n % 3 == 0 && n <= 3 * 64 && (n > 0 || has_aggregates == 0),
+              "summary length"));
+          summary.agg.resize(n);
+          for (double& v : summary.agg) {
+            MODELARDB_ASSIGN_OR_RETURN(v, reader.ReadDouble());
+          }
+        }
+      }
+      num_segments_.fetch_add(static_cast<int64_t>(count),
+                              std::memory_order_relaxed);
+      data->cold.push_back(std::move(block));
     }
-    RecomputeColdSuffixFences(&slot.data->cold);
+    UpdateSuffixFences(&data->cold);
   }
   return Status::OK();
-}
-
-void SegmentStore::RecomputeColdSuffixFences(
-    std::vector<std::shared_ptr<const ColdBlock>>* cold) {
-  Timestamp suffix = std::numeric_limits<Timestamp>::max();
-  for (size_t i = cold->size(); i-- > 0;) {
-    suffix = std::min(suffix, (*cold)[i]->min_start_time);
-    if ((*cold)[i]->suffix_min_start_time != suffix) {
-      // Blocks may be shared with an older COW snapshot: clone, never
-      // mutate in place.
-      auto copy = std::make_shared<ColdBlock>(*(*cold)[i]);
-      copy->suffix_min_start_time = suffix;
-      (*cold)[i] = std::move(copy);
-    }
-  }
 }
 
 Status SegmentStore::MaterializeColdBlock(
     SlabFile* slab, const ColdBlock& cold, std::vector<Segment>* segments,
     std::vector<SegmentSummary>* summaries) const {
-  MODELARDB_ASSIGN_OR_RETURN(SlabFile::Pin pin, slab->ReadBlock(cold.slab_id));
-  BufferReader reader(pin.bytes());
-  MODELARDB_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-  for (uint64_t i = 0; i < count; ++i) {
-    // Owned deserialization: these copies outlive the pin.
-    MODELARDB_ASSIGN_OR_RETURN(Segment segment, Segment::Deserialize(&reader));
-    segments->push_back(std::move(segment));
-    if (summaries != nullptr) {
-      summaries->push_back(cold.has_summaries && i < cold.summaries.size()
-                               ? cold.summaries[i]
-                               : SegmentSummary{});
-    }
-  }
-  SlabCopiedScanBytes().Add(static_cast<int64_t>(pin.bytes().size()));
-  return Status::OK();
+  ScanStats pins;  // Callers count their pins themselves.
+  return ForEachSegment(
+      slab, nullptr, cold, &cold, &pins,
+      [&](const Segment& segment, uint32_t i) {
+        segments->push_back(segment);  // The copy owns its parameters.
+        summaries->push_back(i < cold.summaries.size() ? cold.summaries[i]
+                                                       : SegmentSummary{});
+        SlabCopiedScanBytes().Add(
+            static_cast<int64_t>(segment.StorageBytes()));
+        return Status::OK();
+      });
 }
 
 SlabStats SegmentStore::slab_stats() const {
@@ -861,70 +936,25 @@ SlabStats SegmentStore::slab_stats() const {
 }
 
 std::vector<SegmentStore::Snapshot> SegmentStore::SnapshotsFor(
-    const SegmentFilter& filter, std::shared_ptr<SlabFile>* slab) const {
+    const std::vector<Gid>& gids, std::shared_ptr<SlabFile>* slab) const {
   std::vector<Snapshot> snapshots;
   MutexLock lock(mutex_);
   if (slab != nullptr) *slab = slab_;
-  auto grab = [&](GroupSlot& slot) {
-    if (!slot.data ||
-        (slot.data->segments.empty() && slot.data->cold.empty())) {
-      return;
-    }
-    slot.snapshotted = true;
-    snapshots.push_back(slot.data);
+  auto grab = [&](const std::shared_ptr<GroupData>& data) {
+    if (data->segments.empty() && data->cold.empty()) return;
+    snapshots.emplace_back(data);
   };
-  if (filter.gids.empty()) {
+  if (gids.empty()) {
     snapshots.reserve(index_.size());
-    for (auto& [gid, slot] : index_) grab(slot);
+    for (const auto& [gid, data] : index_) grab(data);
   } else {
-    snapshots.reserve(filter.gids.size());
-    for (Gid gid : filter.gids) {
+    snapshots.reserve(gids.size());
+    for (Gid gid : gids) {
       auto it = index_.find(gid);
       if (it != index_.end()) grab(it->second);
     }
   }
   return snapshots;
-}
-
-Status SegmentStore::ScanGroupCold(SlabFile* slab, const GroupData& group,
-                                   const SegmentFilter& filter,
-                                   const IndexedScanCallbacks& callbacks,
-                                   ScanStats* stats) const {
-  for (size_t b = 0; b < group.cold.size(); ++b) {
-    const ColdBlock& block = *group.cold[b];
-    if (block.suffix_min_start_time > filter.max_time) {
-      // No segment in this or any later cold block starts early enough;
-      // the hot tail has its own fences and is checked by the caller.
-      stats->blocks_skipped += static_cast<int64_t>(group.cold.size() - b);
-      break;
-    }
-    if (block.max_end_time < filter.min_time ||
-        block.min_start_time > filter.max_time) {
-      ++stats->blocks_skipped;
-      continue;
-    }
-    // Zero-copy delivery: segments are deserialized with borrowed
-    // parameter views into the pinned mapping; callbacks that keep a
-    // Segment copy deep-copy the parameters (ParamBytes copy semantics).
-    MODELARDB_ASSIGN_OR_RETURN(SlabFile::Pin pin,
-                               slab->ReadBlock(block.slab_id));
-    BufferReader reader(pin.bytes());
-    MODELARDB_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-    ++stats->blocks_scanned;
-    ++stats->cold_pins;
-    for (uint64_t i = 0; i < count; ++i) {
-      MODELARDB_ASSIGN_OR_RETURN(Segment segment,
-                                 Segment::DeserializeBorrowed(&reader));
-      if (!filter.Matches(segment)) continue;
-      ++stats->segments_scanned;
-      const SegmentSummary* summary =
-          block.has_summaries && i < block.summaries.size()
-              ? &block.summaries[i]
-              : nullptr;
-      MODELARDB_RETURN_NOT_OK(callbacks.on_segment(segment, summary));
-    }
-  }
-  return Status::OK();
 }
 
 Status SegmentStore::ScanGroupMerged(SlabFile* slab, const GroupData& group,
@@ -973,111 +1003,73 @@ Status SegmentStore::ScanGroupMerged(SlabFile* slab, const GroupData& group,
 Status SegmentStore::ScanIndexed(const SegmentFilter& filter,
                                  const IndexedScanCallbacks& callbacks,
                                  ScanStats* stats) const {
+  // This scan's counts alone feed the cumulative metrics.
   ScanStats local;
-  if (stats == nullptr) stats = &local;
-  // Delta against the caller's (possibly pre-populated) stats, so only
-  // this scan's counts feed the cumulative metrics below.
-  const ScanStats before = *stats;
   // The lock is only held inside SnapshotsFor; everything below runs
   // lock-free on the immutable snapshots (cold reads pin the slab mapping).
   std::shared_ptr<SlabFile> slab;
-  for (const Snapshot& snapshot : SnapshotsFor(filter, &slab)) {
+  for (const Snapshot& snapshot : SnapshotsFor(filter.gids, &slab)) {
     const GroupData& group = *snapshot;
     if (!group.cold.empty()) {
       if (slab == nullptr) {
         return Status::IOError("cold blocks present without a slab file");
       }
-      const bool overlap =
-          !group.segments.empty() &&
-          group.segments.front().end_time <= group.cold.back()->max_end_time;
-      if (overlap) {
+      if (!group.segments.empty() &&
+          group.segments.front().end_time <= group.cold.back()->max_end_time) {
         MODELARDB_RETURN_NOT_OK(
-            ScanGroupMerged(slab.get(), group, filter, callbacks, stats));
-        continue;  // The merge delivered the hot tail too.
-      }
-      MODELARDB_RETURN_NOT_OK(
-          ScanGroupCold(slab.get(), group, filter, callbacks, stats));
-      if (group.segments.empty()) continue;
-    }
-    if (group.blocks.empty()) {
-      // No index: the pre-index scan path (binary search to the first
-      // EndTime candidate, then filter every remaining segment).
-      auto it = std::lower_bound(
-          group.segments.begin(), group.segments.end(), filter.min_time,
-          [](const Segment& s, Timestamp t) { return s.end_time < t; });
-      for (; it != group.segments.end(); ++it) {
-        if (!filter.Matches(*it)) continue;
-        ++stats->segments_scanned;
-        ++stats->hot_pins;
-        size_t i = static_cast<size_t>(it - group.segments.begin());
-        const SegmentSummary* summary =
-            group.summaries.empty() ? nullptr : &group.summaries[i];
-        MODELARDB_RETURN_NOT_OK(callbacks.on_segment(*it, summary));
-      }
-      continue;
-    }
-    // Clustering on end_time: binary search to the first candidate block.
-    size_t b = static_cast<size_t>(
-        std::lower_bound(group.blocks.begin(), group.blocks.end(),
-                         filter.min_time,
-                         [](const SegmentBlock& block, Timestamp t) {
-                           return block.max_end_time < t;
-                         }) -
-        group.blocks.begin());
-    stats->blocks_skipped += static_cast<int64_t>(b);
-    for (; b < group.blocks.size(); ++b) {
-      const SegmentBlock& block = group.blocks[b];
-      if (block.suffix_min_start_time > filter.max_time) {
-        // No segment in this or any later block can start early enough:
-        // stop the group's scan (the tail-scan fix).
-        stats->blocks_skipped +=
-            static_cast<int64_t>(group.blocks.size() - b);
-        break;
-      }
-      if (block.min_start_time > filter.max_time) {
-        ++stats->blocks_skipped;
+            ScanGroupMerged(slab.get(), group, filter, callbacks, &local));
         continue;
       }
-      const bool covered = block.min_start_time >= filter.min_time &&
-                           block.max_end_time <= filter.max_time;
-      const SegmentSummary* summaries =
-          group.summaries.empty() ? nullptr : group.summaries.data();
-      if (covered && block.has_summaries && callbacks.on_covered_block) {
-        BlockView view;
-        view.gid = group.gid;
-        view.block = &block;
-        view.segments = group.segments.data() + block.begin;
-        view.summaries =
-            summaries == nullptr ? nullptr : summaries + block.begin;
-        BlockAction action = callbacks.on_covered_block(view);
-        if (action == BlockAction::kSummarized) {
-          ++stats->blocks_summarized;
-          continue;
-        }
-        if (action == BlockAction::kSkipped) {
-          ++stats->blocks_skipped;
-          continue;
-        }
-      }
-      ++stats->blocks_scanned;
-      for (uint32_t i = block.begin; i < block.end; ++i) {
-        const Segment& segment = group.segments[i];
-        if (!filter.Matches(segment)) continue;
-        ++stats->segments_scanned;
-        ++stats->hot_pins;
-        MODELARDB_RETURN_NOT_OK(callbacks.on_segment(
-            segment, summaries == nullptr ? nullptr : &summaries[i]));
-      }
     }
+    MODELARDB_RETURN_NOT_OK(WalkBlocks(
+        group, filter, &local.blocks_skipped,
+        [&](const SegmentBlock& block, const ColdBlock* cold) -> Status {
+          // A cold block indexes its own segments, from 0.
+          const std::vector<SegmentSummary>& run =
+              cold != nullptr ? cold->summaries : group.summaries;
+          const SegmentSummary* summaries =
+              run.empty() ? nullptr : run.data() + block.begin;
+          const bool covered = block.min_start_time >= filter.min_time &&
+                               block.max_end_time <= filter.max_time;
+          if (covered && block.has_summaries && callbacks.on_covered_block) {
+            BlockView view;
+            view.gid = group.gid;
+            view.block = &block;
+            view.summaries = summaries;
+            view.for_each_segment =
+                [&](const std::function<void(const Segment&)>& fn) {
+                  return ForEachSegment(
+                      slab.get(), group.segments.data(), block, cold, &local,
+                      [&fn](const Segment& segment, uint32_t) {
+                        fn(segment);
+                        return Status::OK();
+                      });
+                };
+            MODELARDB_ASSIGN_OR_RETURN(BlockAction action,
+                                       callbacks.on_covered_block(view));
+            if (action == BlockAction::kSummarized) {
+              ++local.blocks_summarized;
+              return Status::OK();
+            }
+            if (action == BlockAction::kSkipped) {
+              ++local.blocks_skipped;
+              return Status::OK();
+            }
+          }
+          ++local.blocks_scanned;
+          return ForEachSegment(
+              slab.get(), group.segments.data(), block, cold, &local,
+              [&](const Segment& segment, uint32_t i) -> Status {
+                if (!filter.Matches(segment)) return Status::OK();
+                ++local.segments_scanned;
+                if (cold == nullptr) ++local.hot_pins;
+                return callbacks.on_segment(
+                    segment, summaries == nullptr ? nullptr : &summaries[i]);
+              });
+        }));
   }
-  ScanStats delta = *stats;
-  delta.blocks_skipped -= before.blocks_skipped;
-  delta.blocks_summarized -= before.blocks_summarized;
-  delta.blocks_scanned -= before.blocks_scanned;
-  delta.segments_scanned -= before.segments_scanned;
-  delta.cold_pins -= before.cold_pins;
-  delta.hot_pins -= before.hot_pins;
-  RecordScanStats(delta);
+  RecordScanStats(local);
+  if (stats != nullptr) stats->Merge(local);
   return Status::OK();
 }
 
@@ -1092,46 +1084,19 @@ Status SegmentStore::Scan(
 
 int64_t SegmentStore::EstimateSurvivingSegments(
     Gid gid, const SegmentFilter& filter) const {
-  Snapshot snapshot;
-  {
-    MutexLock lock(mutex_);
-    auto it = index_.find(gid);
-    if (it == index_.end() || !it->second.data) return 0;
-    // Mark the slot snapshotted exactly as SnapshotsFor does: writers only
-    // copy-on-write when the flag is set, so without it a concurrent Put
-    // would mutate the GroupData this estimate iterates lock-free.
-    it->second.snapshotted = true;
-    snapshot = it->second.data;
-  }
-  const GroupData& group = *snapshot;
+  // Upper bound from the fences alone, cold blocks included, so no page is
+  // touched: partially covered blocks count in full. Scheduling weights and
+  // EXPLAIN estimates only need fence precision; filtering every segment of
+  // a straddling block would make the estimate itself proportional to the
+  // data.
   int64_t estimate = 0;
-  // Cold blocks estimate from their persisted fences — no page touched.
-  for (const std::shared_ptr<const ColdBlock>& cold : group.cold) {
-    const ColdBlock& block = *cold;
-    if (block.suffix_min_start_time > filter.max_time) break;
-    if (block.max_end_time < filter.min_time ||
-        block.min_start_time > filter.max_time) {
-      continue;
-    }
-    estimate += block.count;
-  }
-  if (group.blocks.empty()) {
-    auto it = std::lower_bound(
-        group.segments.begin(), group.segments.end(), filter.min_time,
-        [](const Segment& s, Timestamp t) { return s.end_time < t; });
-    return estimate + static_cast<int64_t>(group.segments.end() - it);
-  }
-  for (const SegmentBlock& block : group.blocks) {
-    if (block.suffix_min_start_time > filter.max_time) break;
-    if (block.max_end_time < filter.min_time ||
-        block.min_start_time > filter.max_time) {
-      continue;
-    }
-    // Upper bound: partially covered blocks count in full. Scheduling
-    // weights and EXPLAIN estimates only need fence precision; filtering
-    // every segment of a straddling block would make the estimate itself
-    // proportional to the data.
-    estimate += block.size();
+  int64_t skipped = 0;
+  for (const Snapshot& snapshot : SnapshotsFor({gid}, nullptr)) {
+    (void)WalkBlocks(*snapshot, filter, &skipped,
+                     [&estimate](const SegmentBlock& block, const ColdBlock*) {
+                       estimate += block.size();
+                       return Status::OK();
+                     });
   }
   return estimate;
 }

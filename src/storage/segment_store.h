@@ -64,8 +64,9 @@ struct SegmentStoreOptions {
   size_t wal_sync_every_n_blocks = 8;
   // Segments buffered before a bulk write to disk.
   size_t bulk_write_size = 50000;
-  // Segments per summary-index block; 0 disables the index entirely
-  // (fences, summaries and block skipping — the pre-index scan path).
+  // Segments per summary-index block; 0 keeps each group's hot run in one
+  // block without summaries, so every aggregate decodes (the exhaustive
+  // path tests compare the index against).
   size_t index_block_size = 256;
   // Decoder registry used to materialize per-segment aggregates at Put /
   // replay time. Null keeps the index fence-only: blocks still skip and
@@ -188,8 +189,12 @@ struct SegmentBlock {
 struct BlockView {
   Gid gid = 0;
   const SegmentBlock* block = nullptr;
-  const Segment* segments = nullptr;          // block->size() of them.
-  const SegmentSummary* summaries = nullptr;  // Parallel; null if absent.
+  const SegmentSummary* summaries = nullptr;  // block->size(); null if absent.
+  // Calls `fn` for each of the block's segments, in order. Cold segments
+  // are deserialized borrowed from their pinned slab block, valid only
+  // during the call; consumers of the pre-folded arrays never pin.
+  std::function<Status(const std::function<void(const Segment&)>& fn)>
+      for_each_segment;
 };
 
 // What the consumer decided to do with a fully covered block.
@@ -202,9 +207,9 @@ enum class BlockAction {
 struct IndexedScanCallbacks {
   // Called for blocks whose segments all lie inside the time filter and
   // that carry summaries. Null: every block falls back to on_segment.
-  std::function<BlockAction(const BlockView&)> on_covered_block;
-  // Called per matching segment of fallback/partial blocks (and of groups
-  // without an index). `summary` is non-null iff materialized.
+  std::function<Result<BlockAction>(const BlockView&)> on_covered_block;
+  // Called per matching segment of fallback/partial blocks. `summary` is
+  // non-null iff materialized.
   std::function<Status(const Segment&, const SegmentSummary*)> on_segment;
 };
 
@@ -312,32 +317,32 @@ class SegmentStore {
 
  private:
   // One checkpointed block of a group's segments, resident in the slab
-  // file. Carries the same fences/zone map as a hot SegmentBlock plus the
-  // per-segment summaries, so cold blocks prune and answer aggregate scans
-  // without touching their (possibly evicted) pages. Immutable once built;
-  // shared between COW copies of the group.
-  struct ColdBlock {
+  // file: a SegmentBlock over its own segments ([0, size())) whose fences
+  // and aggregates persist in the cold index, so cold blocks prune and
+  // answer aggregate scans without touching their (possibly evicted)
+  // pages. Immutable once built; shared between COW copies of the group.
+  struct ColdBlock : SegmentBlock {
     uint64_t slab_id = 0;
-    uint32_t count = 0;
-    Timestamp min_start_time = std::numeric_limits<Timestamp>::max();
-    Timestamp max_end_time = std::numeric_limits<Timestamp>::min();
-    // Smallest start_time of this and every later cold block of the group
-    // (hot segments have their own suffix fences).
-    Timestamp suffix_min_start_time = std::numeric_limits<Timestamp>::max();
-    float min_value = std::numeric_limits<float>::max();
-    float max_value = std::numeric_limits<float>::lowest();
-    bool has_summaries = false;
-    std::vector<SegmentSummary> summaries;  // Per segment, iff above.
+    // Per segment when the group materializes summaries; empty otherwise.
+    std::vector<SegmentSummary> summaries;
     // Keeps the slab block readable (and its extent unreused) for as long
     // as any GroupData — or scan snapshot of one — references it, even
     // after a later checkpoint frees the id.
     SlabFile::BlockLease lease;
   };
 
-  // One group's segments plus its summary index. Immutable from the moment
-  // a snapshot references it; the next write under the store lock replaces
-  // it with a copy (copy-on-write).
+  // Live Snapshots on one GroupData; a copy of the data starts unshared.
+  struct SnapshotCount {
+    std::atomic<int64_t> live{0};
+    SnapshotCount() = default;
+    SnapshotCount(const SnapshotCount&) {}
+  };
+
+  // One group's segments plus its summary index. Immutable while a
+  // Snapshot references it; a write under the store lock then replaces it
+  // with a copy (copy-on-write).
   struct GroupData {
+    explicit GroupData(Gid group) : gid(group) {}
     Gid gid = 0;
     // Checkpointed blocks in (end_time, gap_mask) order, all clustering
     // strictly before `segments` except after out-of-order puts (the scan
@@ -346,17 +351,30 @@ class SegmentStore {
     std::vector<Segment> segments;  // Hot tail, (end_time, gap_mask) order.
     // Parallel to `segments` when materialization is on; empty otherwise.
     std::vector<SegmentSummary> summaries;
-    std::vector<SegmentBlock> blocks;  // Empty when the index is disabled.
+    std::vector<SegmentBlock> blocks;  // Over `segments`.
+    mutable SnapshotCount snapshots;
   };
-  // COW snapshot hand-off (DESIGN.md §3e): both fields are guarded by the
-  // store mutex — `snapshotted` is the flag that forces the next writer to
-  // copy instead of mutate, so a GroupData is immutable from the moment a
-  // Snapshot reference escapes the lock, and readers iterate it lock-free.
-  struct GroupSlot {
-    std::shared_ptr<GroupData> data;
-    bool snapshotted = false;
+
+  // A scan's lock-free reference to one group's data (DESIGN.md §3e).
+  // Taken under the store mutex; writers copy the group instead of
+  // mutating it while any handle on it is alive. The release decrement
+  // pairs with the writer's acquire load, so every read through a handle
+  // happens before a later in-place write.
+  class Snapshot {
+   public:
+    explicit Snapshot(std::shared_ptr<const GroupData> data)
+        : data_(std::move(data)) {
+      data_->snapshots.live.fetch_add(1, std::memory_order_relaxed);
+    }
+    Snapshot(Snapshot&& other) noexcept : data_(std::move(other.data_)) {}
+    ~Snapshot() {
+      if (data_) data_->snapshots.live.fetch_sub(1, std::memory_order_release);
+    }
+    const GroupData& operator*() const { return *data_; }
+
+   private:
+    std::shared_ptr<const GroupData> data_;
   };
-  using Snapshot = std::shared_ptr<const GroupData>;
 
   explicit SegmentStore(SegmentStoreOptions options);
 
@@ -374,23 +392,17 @@ class SegmentStore {
   // Stages one group's hot segments into cold slab blocks, mutating `data`
   // (a private working copy) and the slab's staged state only.
   Status CheckpointGroupLocked(Gid gid, GroupData* data) REQUIRES(mutex_);
-  // Folds every cold block back into the hot run (out-of-order puts since
-  // the last checkpoint broke the cold/hot clustering split).
-  Status RewriteGroupLocked(GroupData* data) REQUIRES(mutex_);
+  // Folds cold blocks [first, end) back into the hot run, merging them
+  // with it in clustering order.
+  Status RewriteGroupLocked(GroupData* data, size_t first) REQUIRES(mutex_);
   // Reads the slab's cold-index block into the per-group cold lists.
   Status LoadColdIndex() REQUIRES(mutex_);
   std::vector<uint8_t> SerializeColdIndex() const REQUIRES(mutex_);
-  // Reads + deserializes one cold block into owned segments/summaries
-  // (the copying path: merges, checkpoint rewrites).
+  // Appends one cold block's segments (owned copies) and summaries (empty
+  // where absent): the copying path of merges and checkpoint rewrites.
   Status MaterializeColdBlock(SlabFile* slab, const ColdBlock& cold,
                               std::vector<Segment>* segments,
                               std::vector<SegmentSummary>* summaries) const;
-  // Cold phase of one group's indexed scan (fence skip, early break,
-  // zero-copy per-segment delivery).
-  Status ScanGroupCold(SlabFile* slab, const GroupData& group,
-                       const SegmentFilter& filter,
-                       const IndexedScanCallbacks& callbacks,
-                       ScanStats* stats) const;
   // Materializing two-cursor merge of cold and hot for groups whose hot
   // tail overlaps the cold frontier (out-of-order puts since the last
   // checkpoint).
@@ -398,25 +410,25 @@ class SegmentStore {
                          const SegmentFilter& filter,
                          const IndexedScanCallbacks& callbacks,
                          ScanStats* stats) const;
-  static void RecomputeColdSuffixFences(
-      std::vector<std::shared_ptr<const ColdBlock>>* cold);
-  // Grabs (and marks) the snapshots `filter` selects, in ascending Gid
-  // order for the empty-gids case and in `filter.gids` order otherwise.
-  // `slab` (may be null) receives the store's slab under the same lock.
-  std::vector<Snapshot> SnapshotsFor(const SegmentFilter& filter,
+  // Takes the snapshots of `gids` (in that order), or of every group in
+  // ascending Gid order when empty. `slab` (may be null) receives the
+  // store's slab under the same lock.
+  std::vector<Snapshot> SnapshotsFor(const std::vector<Gid>& gids,
                                      std::shared_ptr<SlabFile>* slab) const;
 
   int GroupSizeOf(Gid gid) const;
   bool MaterializeFor(Gid gid) const;
   // Full-range per-column aggregates of `segment`; empty on any failure.
   SegmentSummary BuildSummary(const Segment& segment, int group_size) const;
+  // An empty block starting at segment `begin`, with aggregate arrays iff
+  // `gid` materializes summaries.
+  SegmentBlock OpenBlock(Gid gid, uint32_t begin) const;
   // Folds segments[index] (appended last) into the block structure.
   void AppendToIndex(GroupData* data, size_t index) const;
   // Rebuilds all blocks of `data` (replay, out-of-order inserts).
   void RebuildBlocks(GroupData* data) const;
   static void FoldIntoBlock(SegmentBlock* block, const Segment& segment,
                             const SegmentSummary* summary, int group_size);
-  static void UpdateSuffixFences(std::vector<SegmentBlock>* blocks);
 
   SegmentStoreOptions options_;
   Env* env_ = nullptr;  // options_.env or Env::Default(); never null.
@@ -438,7 +450,7 @@ class SegmentStore {
   // Slab id of the current cold-index block (0: none written yet).
   uint64_t cold_index_block_id_ GUARDED_BY(mutex_) = 0;
   // Index: per group, segments ordered by end_time (the clustering key).
-  mutable std::map<Gid, GroupSlot> index_ GUARDED_BY(mutex_);
+  std::map<Gid, std::shared_ptr<GroupData>> index_ GUARDED_BY(mutex_);
   std::vector<Segment> write_buffer_ GUARDED_BY(mutex_);
   // Lock-free by design: cheap monotonic counters read by NumSegments() /
   // DiskBytes() without taking the store mutex; relaxed ordering is sound

@@ -229,12 +229,12 @@ TEST_F(ObsSqlTest, ExplainAnalyzeReportsResourceAccounting) {
   for (const auto& row : result.rows) {
     const std::string& line = std::get<std::string>(row[0]);
     for (const char* stat : {"bytes decoded:", "cold pins:", "hot pins:",
-                             "morsel cpu ms:", "queue wait ms:"}) {
+                             "morsel cpu us:", "queue wait us:"}) {
       if (line.find(stat) != std::string::npos) saw[stat] = true;
     }
   }
   for (const char* stat : {"bytes decoded:", "cold pins:", "hot pins:",
-                           "morsel cpu ms:", "queue wait ms:"}) {
+                           "morsel cpu us:", "queue wait us:"}) {
     EXPECT_TRUE(saw[stat]) << stat;
   }
 }

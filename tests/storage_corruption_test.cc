@@ -10,6 +10,8 @@
 #include "core/models/pmc_mean.h"
 #include "core/models/swing.h"
 #include "storage/segment_store.h"
+#include "storage/slab_file.h"
+#include "util/buffer.h"
 
 namespace modelardb {
 namespace {
@@ -125,6 +127,94 @@ TEST_F(CorruptionTest, FlippedInteriorLengthFieldIsDetected) {
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s;
 }
 
+// A cold index holding one group (Gid 1) with one block that names slab
+// block 1: `count` segments, optional block aggregates over `positions`
+// group positions and per-segment summaries of `summary_len` doubles.
+std::vector<uint8_t> ColdIndexV2(uint64_t count, bool summaries,
+                                 uint64_t summary_len, bool aggregates,
+                                 uint64_t positions,
+                                 uint64_t block_count = 1) {
+  BufferWriter writer;
+  writer.WriteVarint(2);            // Version.
+  writer.WriteVarint(1);            // Groups.
+  writer.WriteVarint(1);            // Gid.
+  writer.WriteVarint(block_count);  // Blocks (only one follows).
+  writer.WriteVarint(1);            // Slab id.
+  writer.WriteVarint(count);
+  writer.WriteI64(0);
+  writer.WriteI64(900);
+  writer.WriteFloat(10.0f);
+  writer.WriteFloat(10.0f);
+  writer.WriteU8(summaries ? 1 : 0);
+  writer.WriteU8(aggregates ? 1 : 0);
+  if (aggregates) {
+    writer.WriteVarint(positions);
+    if (positions == 1) {
+      writer.WriteI64(10);
+      for (double v : {100.0, 10.0, 10.0}) writer.WriteDouble(v);
+    }
+  }
+  if (summaries) {
+    writer.WriteVarint(summary_len);
+    for (uint64_t j = 0; j < std::min<uint64_t>(summary_len, 3); ++j) {
+      writer.WriteDouble(10.0);
+    }
+  }
+  return writer.Finish();
+}
+
+TEST_F(CorruptionTest, CraftedColdIndexCountsAreRejectedBeforeAllocating) {
+  // Group 1 has one series, so a well-formed block carries one aggregate
+  // position and three doubles per segment summary.
+  auto open_with_index = [this](const std::vector<uint8_t>& index) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    {
+      SlabFileOptions slab_options;
+      slab_options.path = (dir_ / "segments.slab").string();
+      auto slab = SlabFile::Open(slab_options);
+      EXPECT_TRUE(slab.ok()) << slab.status();
+      const uint8_t data_block[] = {0};
+      EXPECT_TRUE((*slab)->StageBlock(data_block, 1).ok());
+      EXPECT_TRUE((*slab)->StageBlock(index, ~uint64_t{0}).ok());
+      EXPECT_TRUE((*slab)->Commit(0).ok());
+    }
+    SegmentStoreOptions options;
+    options.directory = dir_.string();
+    options.group_sizes = {{1, 1}};
+    return SegmentStore::Open(options);
+  };
+  // The well-formed payload opens: the cases below fail for their counts.
+  auto store = open_with_index(ColdIndexV2(1, true, 3, true, 1));
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_EQ((*store)->NumSegments(), 1);
+  store->reset();
+
+  const std::vector<uint8_t> crafted[] = {
+      // Block count no index block could hold.
+      ColdIndexV2(1, true, 3, true, 1, /*block_count=*/uint64_t{1} << 60),
+      // Segment count past 32 bits, and one the summaries cannot fit.
+      ColdIndexV2(uint64_t{1} << 40, false, 0, false, 0),
+      ColdIndexV2(uint64_t{1} << 30, true, 3, true, 1),
+      // Summary lengths: beyond the bytes left, past 64 series, and not a
+      // whole number of (sum, min, max) triples.
+      ColdIndexV2(1, true, 3 * 64, true, 1),
+      ColdIndexV2(1, true, uint64_t{3} << 50, true, 1),
+      ColdIndexV2(1, true, 2, true, 1),
+      // Aggregate arrays whose length is not the group size.
+      ColdIndexV2(1, true, 3, true, uint64_t{1} << 50),
+      ColdIndexV2(1, true, 3, true, 2),
+      ColdIndexV2(1, true, 3, true, 0),
+      // Aggregates without the segment summaries SUM folds from.
+      ColdIndexV2(1, false, 0, true, 1),
+  };
+  for (size_t i = 0; i < std::size(crafted); ++i) {
+    auto result = open_with_index(crafted[i]);
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+        << "case " << i << ": " << result.status();
+  }
+}
+
 TEST_F(CorruptionTest, EmptyFileIsFine) {
   std::ofstream(LogPath()).close();
   EXPECT_TRUE(Reopen().ok());
@@ -163,6 +253,35 @@ TEST(DecoderCorruptionTest, GorillaTruncationVsTrailingZeros) {
             StatusCode::kCorruption);
   EXPECT_EQ(GorillaDecodeStreamWithKernels(truncated, 5,
                                            simd::ScalarKernels())
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+}
+
+TEST(DecoderCorruptionTest, GorillaCountBeyondTheStreamIsRejected) {
+  // 8 zero bytes hold at most 1 + (64 - 32) = 33 values (the first takes
+  // 32 bits, each repeat one '0' bit); a count from corrupt metadata past
+  // that is Corruption in both tiers before anything is sized from it.
+  const std::vector<uint8_t> zeros(8, 0);
+  for (size_t count : {size_t{34}, size_t{1} << 40, ~size_t{0}}) {
+    EXPECT_EQ(GorillaDecodeStreamScalar(zeros, count).status().code(),
+              StatusCode::kCorruption)
+        << count;
+    EXPECT_EQ(GorillaDecodeStreamWithKernels(zeros, count,
+                                             simd::ScalarKernels())
+                  .status()
+                  .code(),
+              StatusCode::kCorruption)
+        << count;
+  }
+  auto all = GorillaDecodeStreamScalar(zeros, 33);
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(all->size(), 33u);
+  EXPECT_TRUE(
+      GorillaDecodeStreamWithKernels(zeros, 33, simd::ScalarKernels()).ok());
+  // A lone value fits any stream the count check lets through; a stream
+  // shorter than 32 bits is still caught as truncated.
+  EXPECT_EQ(GorillaDecodeStreamScalar(std::vector<uint8_t>(2, 0), 1)
                 .status()
                 .code(),
             StatusCode::kCorruption);

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "core/model.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "storage/segment_store.h"
 
 namespace modelardb {
@@ -28,6 +30,12 @@ Segment MakeSegment(Gid gid, int i) {
   s.min_value = 10.0f;
   s.max_value = 10.0f;
   return s;
+}
+
+int64_t CowCopies() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter(obs::kStoreCowCopiesTotal)
+      .Value();
 }
 
 SegmentStoreOptions IndexedOptions(const ModelRegistry* registry,
@@ -222,6 +230,52 @@ TEST(SummaryIndexConcurrencyTest, OutOfOrderPutsRebuildWhileScanning) {
                            return Status::OK();
                          })
                   .ok());
+}
+
+TEST(SummaryIndexConcurrencyTest, PutAfterFinishedReadsMutatesInPlace) {
+  // A snapshot pins its group only while it is alive: once a scan or an
+  // estimate has returned, the next Put needs no copy.
+  ModelRegistry registry = ModelRegistry::Default();
+  auto store = *SegmentStore::Open(IndexedOptions(&registry, 4));
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(store->Put(MakeSegment(1, i)).ok());
+  }
+  const int64_t before = CowCopies();
+  ScanStats stats;
+  IndexedScanCallbacks callbacks;
+  callbacks.on_segment = [](const Segment&, const SegmentSummary*) {
+    return Status::OK();
+  };
+  ASSERT_TRUE(store->ScanIndexed(SegmentFilter{}, callbacks, &stats).ok());
+  ASSERT_TRUE(store->Put(MakeSegment(1, 10)).ok());
+  EXPECT_EQ(store->EstimateSurvivingSegments(1, SegmentFilter{}), 11);
+  ASSERT_TRUE(store->Put(MakeSegment(1, 11)).ok());
+  EXPECT_EQ(CowCopies(), before);
+}
+
+TEST(SummaryIndexConcurrencyTest, PutWhileASnapshotIsHeldCopies) {
+  ModelRegistry registry = ModelRegistry::Default();
+  auto store = *SegmentStore::Open(IndexedOptions(&registry, 4));
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(store->Put(MakeSegment(1, i)).ok());
+  }
+  const int64_t before = CowCopies();
+  int delivered = 0;
+  Status s = store->Scan(SegmentFilter{}, [&](const Segment&) {
+    if (delivered++ == 0) {
+      // The first Put copies the snapshotted group; the second mutates
+      // that unshared copy.
+      EXPECT_TRUE(store->Put(MakeSegment(1, 10)).ok());
+      EXPECT_TRUE(store->Put(MakeSegment(1, 11)).ok());
+      EXPECT_EQ(CowCopies(), before + 1);
+    }
+    return Status::OK();
+  });
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_EQ(delivered, 10);  // The scan sees only its snapshot.
+  ASSERT_TRUE(store->Put(MakeSegment(1, 12)).ok());
+  EXPECT_EQ(CowCopies(), before + 1);
+  EXPECT_EQ(store->NumSegments(), 13);
 }
 
 }  // namespace

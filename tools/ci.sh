@@ -84,6 +84,17 @@ echo "ci: slab-recovery gate passed"
 ./build/tools/crash_writer --bundle
 echo "ci: diagnostics-bundle gate passed"
 
+# End-to-end answer checks: the benchmark (e2ebench/, which builds its own
+# copy of the library from src/) checks every answer it times against the
+# raw generated data — COUNT exact, MIN/MAX/SUM within the error bound,
+# Segment View against Data Point View, and on ep-cold the pre-checkpoint
+# pass byte-identical to the post-reopen pass. One-second query passes keep
+# the stage short; any failed check exits non-zero.
+python3 e2ebench/run.py --self-test
+python3 e2ebench/run.py --workload ep-cold --seed 7 --seconds 1 --trace 0
+python3 e2ebench/run.py --workload eh-csv-cold --seed 7 --seconds 1 --trace 0
+echo "ci: end-to-end answer checks passed"
+
 # Tier 2: concurrency subset under ThreadSanitizer.
 cmake -B build-tsan -S . -DMODELARDB_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS"
