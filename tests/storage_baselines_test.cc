@@ -19,6 +19,10 @@ struct StoreCase {
   bool online;
 };
 
+// Print the label only: the default byte dump holds code addresses and
+// padding, which differ between runs and so give unstable test names.
+void PrintTo(const StoreCase& c, std::ostream* os) { *os << c.label; }
+
 std::unique_ptr<DataPointStore> MakeRow() {
   return std::move(*RowStore::Open(RowStoreOptions{}));
 }
